@@ -587,14 +587,14 @@ impl BlockRef {
         &self,
         policy: ObjectPolicy,
     ) -> PcResult<Handle<T>> {
-        T::ensure_registered();
+        let code = registry::vtable_of::<T>()?.code;
         let flags = match policy {
             ObjectPolicy::RefCounted => 0,
             ObjectPolicy::NoRefCount => FLAG_NO_REFCOUNT,
             ObjectPolicy::Unique => FLAG_UNIQUE,
         };
         let flags = flags | if T::VAR_SIZE { FLAG_VAR_SIZE } else { 0 };
-        let off = self.alloc(T::init_size(), T::type_code(), flags)?;
+        let off = self.alloc(T::init_size(), code, flags)?;
         T::init_at(self, off)?;
         Ok(Handle::adopt(self.clone(), off))
     }
@@ -633,9 +633,10 @@ impl BlockRef {
             return Err(PcError::NoRoot);
         }
         let code = self.obj_code(off);
-        if code != T::type_code() {
+        let vt = registry::vtable_of::<T>()?;
+        if code != vt.code {
             return Err(PcError::TypeMismatch {
-                expected: Box::leak(T::type_name().into_boxed_str()),
+                expected: vt.name.as_str(),
                 found: code.0,
             });
         }

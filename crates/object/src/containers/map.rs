@@ -66,7 +66,7 @@ impl<K: PcKey, V: PcValue> PcObjType for PcMap<K, V> {
         let cap = src.read_u32(soff + OFF_CAP);
         let stable = src.read_u32(soff + OFF_TABLE);
         let stride = entry_stride::<K, V>();
-        let doff = dst.alloc(12, Self::type_code(), 0)?;
+        let doff = dst.alloc(12, crate::registry::vtable_of::<Self>()?.code, 0)?;
         Self::init_at(dst, doff)?;
         if cap == 0 {
             return Ok(doff);

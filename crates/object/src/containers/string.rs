@@ -29,9 +29,9 @@ impl PcString {
 
     /// Allocates a string on a specific block.
     pub fn make_on(block: &BlockRef, s: &str) -> PcResult<Handle<PcString>> {
-        Self::ensure_registered();
+        let code = crate::registry::vtable_of::<Self>()?.code;
         let payload = 4 + s.len() as u32;
-        let off = block.alloc(payload, Self::type_code(), FLAG_VAR_SIZE)?;
+        let off = block.alloc(payload, code, FLAG_VAR_SIZE)?;
         block.write_u32(off, s.len() as u32);
         block.write_bytes(off + 4, s.as_bytes());
         Ok(Handle::adopt(block.clone(), off))

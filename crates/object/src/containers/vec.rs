@@ -52,7 +52,7 @@ impl<T: PcValue> PcObjType for PcVec<T> {
         let len = src.read_u32(soff + OFF_LEN);
         let selems = src.read_u32(soff + OFF_ELEMS);
         let stride = stored_footprint::<T>();
-        let doff = dst.alloc(12, Self::type_code(), 0)?;
+        let doff = dst.alloc(12, crate::registry::vtable_of::<Self>()?.code, 0)?;
         Self::init_at(dst, doff)?;
         if len == 0 {
             return Ok(doff);

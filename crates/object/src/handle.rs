@@ -75,10 +75,11 @@ impl<T: PcObjType> Handle<T> {
         &self.block
     }
 
-    /// The object's registered type code.
+    /// The object's registered type code (`T`'s declared code if `T`
+    /// cannot register because another type holds that code).
     #[inline]
     pub fn type_code(&self) -> TypeCode {
-        T::type_code()
+        registry::vtable_of::<T>().map_or_else(|_| T::type_code(), |vt| vt.code)
     }
 
     /// Current reference count (0 on unmanaged blocks where counting is off).
@@ -181,9 +182,10 @@ impl AnyHandle {
     /// Attempts a typed downcast; checks the header type code.
     pub fn downcast<T: PcObjType>(&self) -> PcResult<Handle<T>> {
         let code = self.type_code();
-        if code != T::type_code() {
+        let vt = registry::vtable_of::<T>()?;
+        if code != vt.code {
             return Err(PcError::TypeMismatch {
-                expected: Box::leak(T::type_name().into_boxed_str()),
+                expected: vt.name.as_str(),
                 found: code.0,
             });
         }
@@ -216,7 +218,7 @@ impl AnyHandle {
     /// type it does not know).
     pub fn deep_copy_to(&self, dst: &BlockRef) -> PcResult<AnyHandle> {
         let code = self.type_code();
-        let vt = registry::lookup_vtable(code).ok_or(PcError::TypeNotRegistered(code.0))?;
+        let vt = registry::require_vtable(code)?;
         let off = (vt.deep_copy)(&self.block, self.off, dst)?;
         Ok(AnyHandle::new(dst.clone(), off))
     }

@@ -64,9 +64,7 @@ pub use containers::{PcMap, PcString, PcVec};
 pub use error::{PcError, PcResult};
 pub use handle::{AnyHandle, Handle};
 pub use page::SealedPage;
-pub use registry::{
-    ensure_builtins_registered, lookup_vtable, register_type, TypeCode, TypeVTable,
-};
+pub use registry::{ensure_builtins_registered, lookup_vtable, vtable_of, TypeCode, TypeVTable};
 pub use traits::{Flat, PcKey, PcObjType, PcValue};
 
 use std::cell::RefCell;

@@ -74,7 +74,7 @@ macro_rules! pc_object {
             ) -> $crate::PcResult<u32> {
                 let doff = dst.alloc(
                     Self::init_size(),
-                    <Self as $crate::PcObjType>::type_code(),
+                    $crate::registry::vtable_of::<Self>()?.code,
                     0,
                 )?;
                 <Self as $crate::PcObjType>::init_at(dst, doff)?;

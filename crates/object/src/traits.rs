@@ -100,17 +100,10 @@ pub trait PcObjType: 'static {
     fn type_name() -> String;
 
     /// The type code under which this type registers with the catalog.
+    /// Read once, when the type first registers; the hot paths take the
+    /// registered code from [`registry::vtable_of`](crate::registry::vtable_of).
     fn type_code() -> TypeCode {
-        crate::registry::cached_code::<Self>()
-    }
-
-    /// Registers the vtable with the process registry if not yet present
-    /// (the analogue of registering a class' `.so` with the PC catalog).
-    fn ensure_registered()
-    where
-        Self: Sized,
-    {
-        crate::registry::register_type::<Self>();
+        TypeCode::of(&Self::type_name())
     }
 
     /// Payload size of a default-constructed instance.
@@ -262,17 +255,18 @@ impl<T: PcObjType> PcValue for Handle<T> {
             b.write::<(u32, u32)>(at, (0, 0));
             return Ok(());
         }
+        let code = crate::registry::vtable_of::<T>()?.code.0;
         if b.same_block(self.block()) {
             // Same-block store: record the offset and take a reference.
             b.inc_ref(self.offset());
-            b.write::<(u32, u32)>(at, (self.offset(), T::type_code().0));
+            b.write::<(u32, u32)>(at, (self.offset(), code));
         } else {
             // Cross-block assignment triggers an automatic deep copy of the
             // target into this block (§6.4).
             b.note_deep_copy();
             let new_off = T::deep_copy_obj(self.block(), self.offset(), b)?;
             b.inc_ref(new_off);
-            b.write::<(u32, u32)>(at, (new_off, T::type_code().0));
+            b.write::<(u32, u32)>(at, (new_off, code));
         }
         Ok(())
     }
